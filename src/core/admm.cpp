@@ -1,12 +1,14 @@
 #include "core/admm.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "core/admm_impl.hpp"
 #include "la/cholesky.hpp"
 #include "obs/parallel_stats.hpp"
 #include "obs/profile.hpp"
+#include "parallel/reduce.hpp"
 #include "parallel/runtime.hpp"
 #include "util/error.hpp"
 
@@ -15,6 +17,12 @@
 #endif
 
 namespace aoadmm {
+namespace {
+
+// Rows per chunk of the residual reduction grid (see parallel/reduce.hpp).
+constexpr std::size_t kResidualRowGrain = 256;
+
+}  // namespace
 
 AdmmResult admm_update(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
                        const ProxOperator& prox, const AdmmOptions& opts,
@@ -42,6 +50,13 @@ AdmmResult admm_update(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
 
   AdmmResult result;
   detail::ResidualAccum acc;
+  // The residual norms are summed over a fixed row-chunk grid rather than
+  // per thread, so their bits do not depend on the team size.
+  const ReduceGrid grid(rows, kResidualRowGrain);
+  std::array<detail::ResidualAccum, ReduceGrid::kMaxChunks> partials;
+  const auto dual_chunk = [&](std::size_t lo, std::size_t hi) {
+    return detail::admm_dual_rows(h, u, aux, h_old, lo, hi);
+  };
   unsigned restarts = 0;
   bool abandoned = false;
 
@@ -66,8 +81,6 @@ AdmmResult admm_update(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
     bool diverged = false;
 
     for (unsigned iter = 0; iter < opts.max_iterations; ++iter) {
-      acc = detail::ResidualAccum{};
-
       // Each kernel runs over a static row partition with a barrier after
       // it — the §IV.A baseline decomposition. The partition is explicit
       // (rather than `omp for`) so each thread can time its own work,
@@ -92,7 +105,6 @@ AdmmResult admm_update(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
                               .count();
         };
 
-        detail::ResidualAccum local;
         timed([&] {
           detail::admm_solve_rows(h, u, k, rho, chol, aux, lo, hi);
         });
@@ -104,12 +116,8 @@ AdmmResult admm_update(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
 #pragma omp barrier
         timed([&] { prox.apply(h, lo, hi, rho); });
 #pragma omp barrier
-        timed([&] {
-          local.merge(detail::admm_dual_rows(h, u, aux, h_old, lo, hi));
-        });
+        timed([&] { reduce_chunks(grid, partials.data(), dual_chunk); });
         busy.add(thread_id(), busy_seconds);
-#pragma omp critical(aoadmm_admm_residuals)
-        acc.merge(local);
       }
 #else
       obs::BusyTimes busy(1);
@@ -117,11 +125,16 @@ AdmmResult admm_update(Matrix& h, Matrix& u, const Matrix& k, const Matrix& g,
       detail::admm_solve_rows(h, u, k, rho, chol, aux, 0, rows);
       detail::admm_primal_prep_rows(h, u, aux, h_old, opts.relaxation, 0, rows);
       prox.apply(h, 0, rows, rho);
-      acc = detail::admm_dual_rows(h, u, aux, h_old, 0, rows);
+      reduce_chunks(grid, partials.data(), dual_chunk);
       busy.add(0, std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
                       .count());
 #endif
+      acc = fold_partials(grid, partials.data(),
+                          [](detail::ResidualAccum& total,
+                             const detail::ResidualAccum& part) {
+                            total.merge(part);
+                          });
 
       ++result.iterations;
       result.row_iterations += rows;

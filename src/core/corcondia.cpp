@@ -4,12 +4,8 @@
 
 #include "la/blas.hpp"
 #include "la/cholesky.hpp"
-#include "parallel/runtime.hpp"
+#include "parallel/reduce.hpp"
 #include "util/error.hpp"
-
-#if defined(AOADMM_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 namespace aoadmm {
 namespace {
@@ -56,45 +52,31 @@ Matrix corcondia_core(const CooTensor& x, cspan<const Matrix> factors) {
   // core(p, q, r) laid out as an F x F^2 matrix with column q*F... use
   // column index q + r*F (q fastest within r) to match matricize().
   Matrix core(f, f * f);
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp parallel
-#endif
-  {
-    Matrix local(f, f * f);
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp for schedule(static) nowait
-#endif
-    for (std::ptrdiff_t n = 0; n < static_cast<std::ptrdiff_t>(x.nnz());
-         ++n) {
-      const auto nn = static_cast<offset_t>(n);
-      const real_t v = x.value(nn);
-      const real_t* __restrict a = p0.data() +
-          static_cast<std::size_t>(x.index(0, nn)) * f;
-      const real_t* __restrict b = p1.data() +
-          static_cast<std::size_t>(x.index(1, nn)) * f;
-      const real_t* __restrict c = p2.data() +
-          static_cast<std::size_t>(x.index(2, nn)) * f;
-      for (std::size_t r = 0; r < f; ++r) {
-        const real_t vc = v * c[r];
-        for (std::size_t q = 0; q < f; ++q) {
-          const real_t vcb = vc * b[q];
-          real_t* __restrict row = local.data();
-          for (std::size_t p = 0; p < f; ++p) {
-            row[p * f * f + q + r * f] += vcb * a[p];
+  // Summed over a fixed grid of non-zero chunks (parallel/reduce.hpp), so
+  // the core's bits do not depend on the team size.
+  parallel_reduce_array(
+      x.nnz(), kReduceGrain, core.flat(),
+      [&](std::size_t lo, std::size_t hi, real_t* __restrict out) {
+        for (std::size_t n = lo; n < hi; ++n) {
+          const auto nn = static_cast<offset_t>(n);
+          const real_t v = x.value(nn);
+          const real_t* __restrict a =
+              p0.data() + static_cast<std::size_t>(x.index(0, nn)) * f;
+          const real_t* __restrict b =
+              p1.data() + static_cast<std::size_t>(x.index(1, nn)) * f;
+          const real_t* __restrict c =
+              p2.data() + static_cast<std::size_t>(x.index(2, nn)) * f;
+          for (std::size_t r = 0; r < f; ++r) {
+            const real_t vc = v * c[r];
+            for (std::size_t q = 0; q < f; ++q) {
+              const real_t vcb = vc * b[q];
+              for (std::size_t p = 0; p < f; ++p) {
+                out[p * f * f + q + r * f] += vcb * a[p];
+              }
+            }
           }
         }
-      }
-    }
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp critical(aoadmm_corcondia_merge)
-#endif
-    {
-      for (std::size_t k = 0; k < core.size(); ++k) {
-        core.data()[k] += local.data()[k];
-      }
-    }
-  }
+      });
   return core;
 }
 

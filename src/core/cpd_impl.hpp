@@ -8,7 +8,7 @@
 
 #include "core/cpd.hpp"
 #include "la/blas.hpp"
-#include "parallel/runtime.hpp"
+#include "parallel/reduce.hpp"
 #include "util/rng.hpp"
 
 namespace aoadmm::detail {

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "core/kruskal.hpp"
-#include "parallel/runtime.hpp"
+#include "parallel/reduce.hpp"
 #include "util/error.hpp"
 
 namespace aoadmm {

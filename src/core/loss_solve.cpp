@@ -7,11 +7,16 @@
 #include <vector>
 
 #include "la/cholesky.hpp"
+#include "parallel/reduce.hpp"
 #include "util/aligned.hpp"
 #include "util/error.hpp"
 
 namespace aoadmm {
 namespace {
+
+/// Roots per chunk of loss_objective()'s reduction grid: a root carries a
+/// whole slice, so chunks hold few of them.
+constexpr std::size_t kObjectiveRootGrain = 8;
 
 /// Per-thread scratch for one row's two-split subproblem. The per-entry
 /// buffers (w/xs/nodes) grow to the largest row seen and are reused.
@@ -326,60 +331,60 @@ LossObjective loss_objective(const CsfTensor& tree,
   const std::size_t order = tree.order();
   const std::size_t f = factors[0].cols();
   const auto vals = tree.vals();
-  const auto nroots = static_cast<std::ptrdiff_t>(tree.num_nodes(0));
+  const std::size_t nroots = tree.num_nodes(0);
 
-  double obj = 0;
-  double resid_sq = 0;
-  double observed_mass = 0;
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp parallel
-#endif
-  {
-    std::vector<real_t> path(order * f);
-    double local_obj = 0;
-    double local_resid = 0;
-    double local_mass = 0;
-    const auto visit = [&](auto&& self, std::size_t level, offset_t node,
-                           const real_t* partial) -> void {
-      const Matrix& a = factors[tree.level_mode(level)];
-      const real_t* row =
-          a.data() + static_cast<std::size_t>(tree.fids(level)[node]) * f;
-      if (level == order - 1) {
-        real_t model = 0;
-        for (std::size_t col = 0; col < f; ++col) {
-          model += partial[col] * row[col];
+  // Objective, residual and model mass over the observed entries, summed
+  // over a fixed grid of root chunks (parallel/reduce.hpp) so the bits do
+  // not depend on the team size or the schedule.
+  struct Sums {
+    double obj = 0;
+    double resid_sq = 0;
+    double mass = 0;
+  };
+  const Sums sums = parallel_reduce<Sums>(
+      nroots, kObjectiveRootGrain,
+      [&](std::size_t lo, std::size_t hi) {
+        std::vector<real_t> path(order * f);
+        Sums local;
+        const auto visit = [&](auto&& self, std::size_t level, offset_t node,
+                               const real_t* partial) -> void {
+          const Matrix& a = factors[tree.level_mode(level)];
+          const real_t* row =
+              a.data() + static_cast<std::size_t>(tree.fids(level)[node]) * f;
+          if (level == order - 1) {
+            real_t model = 0;
+            for (std::size_t col = 0; col < f; ++col) {
+              model += partial[col] * row[col];
+            }
+            const real_t x = vals[node];
+            local.obj += static_cast<double>(loss.value(x, model));
+            const real_t d = x - model;
+            local.resid_sq += static_cast<double>(d * d);
+            local.mass += static_cast<double>(model);
+            return;
+          }
+          real_t* buf = path.data() + level * f;
+          for (std::size_t col = 0; col < f; ++col) {
+            buf[col] = partial == nullptr ? row[col] : partial[col] * row[col];
+          }
+          const auto fptr = tree.fptr(level);
+          for (offset_t child = fptr[node]; child < fptr[node + 1]; ++child) {
+            self(self, level + 1, child, buf);
+          }
+        };
+        for (std::size_t r = lo; r < hi; ++r) {
+          visit(visit, 0, static_cast<offset_t>(r), nullptr);
         }
-        const real_t x = vals[node];
-        local_obj += static_cast<double>(loss.value(x, model));
-        const real_t d = x - model;
-        local_resid += static_cast<double>(d * d);
-        local_mass += static_cast<double>(model);
-        return;
-      }
-      real_t* buf = path.data() + level * f;
-      for (std::size_t col = 0; col < f; ++col) {
-        buf[col] = partial == nullptr ? row[col] : partial[col] * row[col];
-      }
-      const auto fptr = tree.fptr(level);
-      for (offset_t child = fptr[node]; child < fptr[node + 1]; ++child) {
-        self(self, level + 1, child, buf);
-      }
-    };
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp for schedule(dynamic, 8) nowait
-#endif
-    for (std::ptrdiff_t r = 0; r < nroots; ++r) {
-      visit(visit, 0, static_cast<offset_t>(r), nullptr);
-    }
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp critical(aoadmm_loss_objective)
-#endif
-    {
-      obj += local_obj;
-      resid_sq += local_resid;
-      observed_mass += local_mass;
-    }
-  }
+        return local;
+      },
+      [](Sums& total, const Sums& part) {
+        total.obj += part.obj;
+        total.resid_sq += part.resid_sq;
+        total.mass += part.mass;
+      });
+  double obj = sums.obj;
+  const double resid_sq = sums.resid_sq;
+  const double observed_mass = sums.mass;
 
   // Zero-fill: an unmasked loss charges slope · m over every unobserved
   // cell. Σ_all m for a Kruskal model is Σ_f Π_n colsum_n[f].

@@ -7,7 +7,7 @@
 
 #include "core/cpd_impl.hpp"
 #include "la/cholesky.hpp"
-#include "parallel/runtime.hpp"
+#include "parallel/reduce.hpp"
 #include "util/aligned.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
@@ -200,7 +200,8 @@ real_t observed_error_from_tree(const CsfTensor& tree,
         (void)leaf_fids;
         (void)leaf_factor;
         return local;
-      });
+      },
+      /*grain=*/8);  // roots carry whole slices: few per chunk
   return value_norm_sq > 0
              ? static_cast<real_t>(
                    std::sqrt(resid_sq / static_cast<double>(value_norm_sq)))

@@ -106,12 +106,9 @@ ShardedCpdSolver::ShardedCpdSolver(const CooTensor& coo, CpdConfig config)
   plan_ = make_shard_plan(coo, grid);
   const std::size_t shard_count = plan_.shard_count();
 
-  // Same serial accumulation order as CsfSet's constructor, so a 1x1x1
-  // grid reproduces the unsharded x_norm_sq bit for bit.
-  x_norm_sq_ = 0;
-  for (const real_t v : coo.values()) {
-    x_norm_sq_ += v * v;
-  }
+  // The same reduction CsfSet uses (construction and patch_values), so a
+  // 1x1x1 grid reproduces the unsharded x_norm_sq bit for bit.
+  x_norm_sq_ = coo.norm_sq();
 
   prox_.resize(order);
   for (std::size_t m = 0; m < order; ++m) {

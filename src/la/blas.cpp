@@ -4,26 +4,28 @@
 #include <cstring>
 #include <vector>
 
+#include "parallel/reduce.hpp"
 #include "parallel/runtime.hpp"
 #include "util/error.hpp"
 
-#if defined(AOADMM_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 namespace aoadmm {
 
-void gram_accumulate(const Matrix& a, std::size_t row_begin,
-                     std::size_t row_end, Matrix& g) {
+namespace {
+
+// Rows per chunk of the row-wise reductions (gram, dot, fro_norm_sq); see
+// parallel/reduce.hpp.
+constexpr std::size_t kRowGrain = 256;
+
+// Upper triangle of Σ_{i ∈ [row_begin, row_end)} aᵢᵀ aᵢ added into the
+// row-major F x F array `g`.
+void gram_rows(const Matrix& a, std::size_t row_begin, std::size_t row_end,
+               real_t* __restrict g) {
   const std::size_t f = a.cols();
-  AOADMM_CHECK(g.rows() == f && g.cols() == f);
-  AOADMM_CHECK(row_end <= a.rows() && row_begin <= row_end);
   for (std::size_t i = row_begin; i < row_end; ++i) {
     const real_t* __restrict row = a.data() + i * f;
     for (std::size_t p = 0; p < f; ++p) {
       const real_t rp = row[p];
-      real_t* __restrict gp = g.data() + p * f;
-      // Upper triangle only; mirrored by the caller (gram()).
+      real_t* __restrict gp = g + p * f;
       for (std::size_t q = p; q < f; ++q) {
         gp[q] += rp * row[q];
       }
@@ -31,37 +33,29 @@ void gram_accumulate(const Matrix& a, std::size_t row_begin,
   }
 }
 
+}  // namespace
+
+void gram_accumulate(const Matrix& a, std::size_t row_begin,
+                     std::size_t row_end, Matrix& g) {
+  const std::size_t f = a.cols();
+  AOADMM_CHECK(g.rows() == f && g.cols() == f);
+  AOADMM_CHECK(row_end <= a.rows() && row_begin <= row_end);
+  // Upper triangle only; mirrored by gram().
+  gram_rows(a, row_begin, row_end, g.data());
+}
+
 void gram(const Matrix& a, Matrix& g) {
   const std::size_t f = a.cols();
-  const std::size_t n = a.rows();
   if (g.rows() != f || g.cols() != f) {
     g.resize(f, f);
-  } else {
-    g.zero();
   }
-
-#if defined(AOADMM_HAVE_OPENMP)
-#pragma omp parallel
-  {
-    // Grow-only per-thread accumulator: solver sessions call gram() every
-    // outer iteration, and their steady state must not touch the allocator.
-    static thread_local Matrix local;
-    local.resize(f, f);  // zero-fills; reuses capacity once warmed
-#pragma omp for schedule(static) nowait
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-      const auto ii = static_cast<std::size_t>(i);
-      gram_accumulate(a, ii, ii + 1, local);
-    }
-#pragma omp critical(aoadmm_gram_merge)
-    {
-      for (std::size_t k = 0; k < f * f; ++k) {
-        g.data()[k] += local.data()[k];
-      }
-    }
-  }
-#else
-  gram_accumulate(a, 0, n, g);
-#endif
+  // Fixed row-chunk grid: the same bits at every team size. The partials
+  // live in a grow-only per-thread buffer, so solver sessions calling
+  // gram() every outer iteration stay off the allocator.
+  parallel_reduce_array(a.rows(), kRowGrain, g.flat(),
+                        [&](std::size_t lo, std::size_t hi, real_t* partial) {
+                          gram_rows(a, lo, hi, partial);
+                        });
 
   // Mirror the upper triangle into the lower one.
   for (std::size_t p = 0; p < f; ++p) {
@@ -151,7 +145,7 @@ real_t dot(const Matrix& a, const Matrix& b) {
       s += pa[j] * pb[j];
     }
     return s;
-  });
+  }, kRowGrain);
 }
 
 real_t fro_norm_sq(const Matrix& a) {
@@ -163,7 +157,7 @@ real_t fro_norm_sq(const Matrix& a) {
       s += pa[j] * pa[j];
     }
     return s;
-  });
+  }, kRowGrain);
 }
 
 real_t sum_all(const Matrix& a) noexcept {

@@ -1,7 +1,9 @@
 // Mini-BLAS for the kernels AO-ADMM needs. The matrices of interest are
 // tall-and-skinny (I x F with small F), so the level-3 routines parallelize
-// over the long row dimension with per-thread accumulators — the same
-// strategy MKL would apply at these shapes (paper §IV.A).
+// over the long row dimension with per-chunk accumulators — the same
+// strategy MKL would apply at these shapes (paper §IV.A). The reductions
+// (gram, dot, fro_norm_sq) use the fixed chunk grid of parallel/reduce.hpp,
+// so their bits do not depend on the thread count.
 #pragma once
 
 #include "la/matrix.hpp"

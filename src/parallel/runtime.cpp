@@ -104,24 +104,4 @@ void parallel_for(std::size_t begin, std::size_t end,
 #endif
 }
 
-double parallel_reduce_sum(std::size_t begin, std::size_t end,
-                           const std::function<double(std::size_t)>& body) {
-  double total = 0.0;
-  if (begin >= end) {
-    return total;
-  }
-#if defined(AOADMM_HAVE_OPENMP)
-  const auto n = static_cast<std::ptrdiff_t>(end - begin);
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    total += body(begin + static_cast<std::size_t>(i));
-  }
-#else
-  for (std::size_t i = begin; i < end; ++i) {
-    total += body(i);
-  }
-#endif
-  return total;
-}
-
 }  // namespace aoadmm

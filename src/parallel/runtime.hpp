@@ -1,6 +1,7 @@
 // Thin shim over OpenMP so the library builds (serially) without it and so
 // call sites stay testable. All parallelism in the library flows through
-// these helpers or through explicit `#pragma omp` regions in the kernels.
+// these helpers, the deterministic reductions of parallel/reduce.hpp, or
+// explicit `#pragma omp` regions in the kernels.
 #pragma once
 
 #include <cstddef>
@@ -45,9 +46,5 @@ void parallel_for(std::size_t begin, std::size_t end,
                   const std::function<void(std::size_t)>& body,
                   Schedule schedule = Schedule::kStatic,
                   std::size_t chunk = 1);
-
-/// Parallel sum-reduction of `body(i)` over [begin, end).
-double parallel_reduce_sum(std::size_t begin, std::size_t end,
-                           const std::function<double(std::size_t)>& body);
 
 }  // namespace aoadmm

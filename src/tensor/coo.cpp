@@ -5,7 +5,7 @@
 #include <numeric>
 #include <string>
 
-#include "parallel/runtime.hpp"
+#include "parallel/reduce.hpp"
 
 namespace aoadmm {
 

@@ -71,7 +71,9 @@ class CooTensor {
   /// sorted (mode-0 major) afterwards.
   void deduplicate();
 
-  /// Σ x² over stored non-zeros (parallel).
+  /// Σ x² over stored non-zeros (parallel, bitwise identical at every team
+  /// size). CsfSet and ShardedCpdSolver both take ‖X‖² from here, so a
+  /// 1x1x1 grid's fit denominator matches the unsharded one bit for bit.
   real_t norm_sq() const;
 
   /// Number of non-zeros in each slice of `mode` (used for load balancing

@@ -429,10 +429,8 @@ CsfSet::CsfSet(const CooTensor& coo, CsfStrategy strategy, index_t tile_rows,
       strategy_(strategy),
       tile_rows_(tile_rows),
       dims_(coo.dims()),
-      nnz_(coo.nnz()) {
-  for (const real_t v : coo.values()) {
-    norm_sq_ += v * v;
-  }
+      nnz_(coo.nnz()),
+      norm_sq_(coo.norm_sq()) {
   if (tile_rows_ > 0) {
     // Tiling exists for the root-mode kernel only, so every mode needs a
     // tree rooted at itself (validated as an error in CpdConfig too).

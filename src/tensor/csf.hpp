@@ -230,8 +230,10 @@ class CsfSet {
   offset_t nnz() const noexcept { return nnz_; }
   const std::vector<index_t>& dims() const noexcept { return dims_; }
 
-  /// Sum of squared non-zero values, ||X||_F^2 — precomputed at build time
-  /// so the fit denominator does not depend on which compilation is held.
+  /// Sum of squared non-zero values, ||X||_F^2 — CooTensor::norm_sq() of the
+  /// source, taken at build time and again by patch_values(), so the fit
+  /// denominator does not depend on which compilation is held and a patched
+  /// set carries the same bits as a freshly built one.
   real_t norm_sq() const noexcept { return norm_sq_; }
 
   /// Total bytes across all trees (the quantity kOneMode shrinks).

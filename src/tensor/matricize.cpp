@@ -4,7 +4,7 @@
 
 #include "la/blas.hpp"
 #include "la/khatri_rao.hpp"
-#include "parallel/runtime.hpp"
+#include "parallel/reduce.hpp"
 #include "util/error.hpp"
 
 namespace aoadmm {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "parallel/runtime.hpp"
 #include "util/rng.hpp"
 
 namespace aoadmm {
@@ -52,6 +54,53 @@ TEST(Gram, ReusesPreallocatedOutput) {
   gram(a, g);
   const Matrix want = naive_matmul(transpose(a), a);
   EXPECT_LT(max_abs_diff(g, want), 1e-12);
+}
+
+TEST(Gram, BitwiseIdenticalAtTeamSizesOneToFour) {
+  // Rows scaled over 30 orders of magnitude: regrouping the row sums
+  // changes the rounded Gram, so only a fixed reduction shape gives the
+  // same bits at every team size.
+  const std::size_t n = 20000;
+  const std::size_t f = 6;
+  Rng rng(6);
+  Matrix a = Matrix::random_normal(n, f, rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    const real_t s = std::pow(real_t{10}, static_cast<real_t>(
+                                              (i * 7919) % 31) - 15);
+    for (std::size_t j = 0; j < f; ++j) {
+      a(i, j) *= s;
+    }
+  }
+  Matrix reversed(n, f);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < f; ++j) {
+      reversed(i, j) = a(n - 1 - i, j);
+    }
+  }
+  Matrix forward_sum(f, f);
+  gram_accumulate(a, 0, n, forward_sum);
+  Matrix backward_sum(f, f);
+  gram_accumulate(reversed, 0, n, backward_sum);
+  ASSERT_NE(std::memcmp(forward_sum.data(), backward_sum.data(),
+                        f * f * sizeof(real_t)),
+            0)
+      << "input does not make the summation order matter";
+
+  const int before = max_threads();
+  Matrix first;
+  for (int team = 1; team <= 4; ++team) {
+    set_num_threads(team);
+    Matrix g;
+    gram(a, g);
+    if (team == 1) {
+      first = g;
+    } else {
+      EXPECT_EQ(std::memcmp(g.data(), first.data(), f * f * sizeof(real_t)),
+                0)
+          << "team size " << team;
+    }
+  }
+  set_num_threads(before);
 }
 
 TEST(GramAccumulate, PartialRangesSumToWhole) {

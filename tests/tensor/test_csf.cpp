@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -203,6 +205,25 @@ TEST(CsfSetTest, OneTreePerMode) {
     EXPECT_EQ(set.for_mode(m).level_mode(0), m);
     EXPECT_EQ(expand(set.for_mode(m)), coo_map(x));
   }
+}
+
+TEST(CsfSetTest, NormSqSharesTheBitsOfCooNormSqBeforeAndAfterPatching) {
+  CooTensor x = testing::random_coo({30, 40, 50}, 5000, 12);
+  CsfSet set(x, CsfStrategy::kAllMode, /*tile_rows=*/0,
+             /*track_value_patching=*/true);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(set.norm_sq()),
+            std::bit_cast<std::uint64_t>(x.norm_sq()));
+
+  // Value-only churn, then compare the patched set with a fresh build.
+  for (offset_t n = 0; n < x.nnz(); ++n) {
+    x.value(n) = x.value(n) * real_t{3} + real_t{1e-7} * static_cast<real_t>(n);
+  }
+  set.patch_values(x);
+  const CsfSet fresh(x);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(set.norm_sq()),
+            std::bit_cast<std::uint64_t>(fresh.norm_sq()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fresh.norm_sq()),
+            std::bit_cast<std::uint64_t>(x.norm_sq()));
 }
 
 }  // namespace
